@@ -771,8 +771,8 @@ struct RuleRecord {
 
 /// The compiled subscription store: interned DAG + trigger groups +
 /// edge state. Lives behind the service's `RwLock`; `evaluate` is the
-/// read-only half (safe to fan out across objects), `apply` the
-/// stateful half (sequential, deterministic order).
+/// read-only half (runs under the read lock), `apply_groups_into` the
+/// stateful half (under the write lock, deterministic order).
 pub(crate) struct RuleEngine {
     /// Interning on (the default). `false` gives each rule private,
     /// unshared nodes and its own group — the naive per-subscription
@@ -861,8 +861,8 @@ pub(crate) struct GroupEval {
 }
 
 /// The read-only half's output for one object: group verdicts plus the
-/// atom-clock updates to commit. Produced concurrently per object;
-/// folded in sequentially by [`RuleEngine::apply`].
+/// atom-clock updates to commit. Produced under the engine's read lock;
+/// committed under its write lock by [`RuleEngine::apply_groups_into`].
 pub(crate) struct ObjectEvaluation {
     evals: Vec<GroupEval>,
     node_updates: Vec<(usize, NodeState)>,
@@ -882,18 +882,6 @@ pub(crate) struct ObjectEvaluation {
 }
 
 impl ObjectEvaluation {
-    pub(crate) fn empty() -> ObjectEvaluation {
-        ObjectEvaluation {
-            evals: Vec::new(),
-            node_updates: Vec::new(),
-            root_writes: Vec::new(),
-            leaf_writes: Vec::new(),
-            atoms_evaluated: 0,
-            dirty_groups: 0,
-            skipped_cached: 0,
-        }
-    }
-
     pub(crate) fn is_empty(&self) -> bool {
         self.evals.is_empty()
             && self.node_updates.is_empty()
@@ -1428,9 +1416,9 @@ impl RuleEngine {
     /// Evaluates the candidate groups against one fuse. Each reachable
     /// DAG node is computed at most once per pass (memoized in the
     /// caller's reusable [`EvalScratch`]); atom-clock updates and cache
-    /// writes are *collected*, not applied — [`apply`](RuleEngine::apply)
-    /// commits them, which is what lets this half run concurrently
-    /// across objects.
+    /// writes are *collected*, not applied —
+    /// [`apply_groups_into`](RuleEngine::apply_groups_into) commits
+    /// them, which is what lets this half run under a shared read lock.
     ///
     /// With `differential` on, groups whose pure root evaluated under
     /// the same signature last time are served from the root cache

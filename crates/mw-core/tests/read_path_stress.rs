@@ -1,8 +1,8 @@
-//! Snapshot-consistency stress for the query-serving read path
-//! (`DESIGN.md` §11): N reader threads spin on `query()` while a
-//! writer publishes generation-tagged batches, and every answer must
-//! correspond to **exactly one** published generation — no torn reads
-//! — with staleness bounded by one publish on the left-right path.
+//! Snapshot-consistency stress for the query path (`DESIGN.md` §11):
+//! N reader threads spin on `query()` while a writer publishes
+//! generation-tagged batches, and every answer must correspond to
+//! **exactly one** published generation — no torn reads — within one
+//! publish of the writer's progress.
 //!
 //! The generation tag is embedded in the value: publish `g` writes two
 //! agreeing sensor readings whose shared 2×2 rectangle encodes `g` in
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mw_bus::Broker;
-use mw_core::{LocationFix, LocationQuery, LocationService, ReadPath, ServiceTuning};
+use mw_core::{LocationFix, LocationQuery, LocationService, ServiceTuning};
 use mw_geometry::{Point, Polygon, Rect};
 use mw_model::{SimDuration, SimTime, TemporalDegradation};
 use mw_sensors::{AdapterOutput, SensorReading, SensorSpec};
@@ -91,7 +91,7 @@ fn batch_of(g: u64) -> Vec<AdapterOutput> {
         .collect()
 }
 
-fn service_with(read_path: ReadPath) -> Arc<LocationService> {
+fn service() -> Arc<LocationService> {
     let broker = Broker::new();
     LocationService::new_with_tuning(
         floor_db(),
@@ -101,7 +101,6 @@ fn service_with(read_path: ReadPath) -> Arc<LocationService> {
             // One shard maximizes writer/reader collisions on the
             // object under test.
             shards: 1,
-            read_path,
             ..ServiceTuning::default()
         },
     )
@@ -111,7 +110,7 @@ fn service_with(read_path: ReadPath) -> Arc<LocationService> {
 /// service (supersedes leave only generation `r`'s two readings live,
 /// so ingesting residues in order reproduces every reachable state).
 fn expected_fixes(now: SimTime) -> Vec<LocationFix> {
-    let scratch = service_with(ReadPath::Locked);
+    let scratch = service();
     let mut expected = Vec::new();
     for r in 0..RESIDUES {
         scratch.ingest_batch(batch_of(r), SimTime::ZERO);
@@ -126,14 +125,15 @@ fn expected_fixes(now: SimTime) -> Vec<LocationFix> {
     expected
 }
 
-/// Runs the stress schedule against one read path. Every observed fix
-/// must equal exactly one generation's expectation, and (via the
-/// published-counter window) a generation the writer could plausibly
-/// have exposed at that instant.
-fn run_stress(read_path: ReadPath) {
+/// Readers serialize with the writer on the shard lock, so every
+/// observed fix must equal exactly one generation's expectation, and
+/// (via the published-counter window) a generation the writer could
+/// plausibly have exposed at that instant.
+#[test]
+fn concurrent_queries_observe_exactly_one_published_generation() {
     let now = SimTime::from_secs(1.0);
     let expected = Arc::new(expected_fixes(now));
-    let service = service_with(read_path);
+    let service = service();
     // Completed publishes, stamped after each ingest_batch returns.
     let published = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
@@ -208,17 +208,4 @@ fn run_stress(read_path: ReadPath) {
         &expected[(GENERATIONS % RESIDUES) as usize],
         "final state must be the last published generation"
     );
-}
-
-#[test]
-fn left_right_readers_never_observe_torn_or_overly_stale_state() {
-    run_stress(ReadPath::LeftRight);
-}
-
-/// The locked path satisfies the same contract (readers serialize with
-/// the writer instead of pinning a side) — the stress invariants are a
-/// property of the service, not an artifact of one representation.
-#[test]
-fn locked_readers_never_observe_torn_or_overly_stale_state() {
-    run_stress(ReadPath::Locked);
 }

@@ -70,9 +70,9 @@ pub use lattice::{NodeId, NodeKind, RegionLattice};
 pub use shared::SharedFusion;
 pub use smallbuf::SmallBuf;
 
-// The parallel ingest pipeline (mw-core) ships fusion results between
-// worker threads: `FusionResult` crosses as `Arc<FusionResult>` inside
-// the shard cache and `SharedFusion` rides in per-task closures. Assert
+// The Location Service (mw-core) is shared by every caller thread:
+// `FusionResult` sits as `Arc<FusionResult>` in the shard cache that
+// concurrent queries read, and the service holds the engine. Assert
 // the auto-traits at compile time so an interior-mutability change here
 // (a `Cell`, an `Rc`) fails this crate's build instead of surfacing as a
 // cryptic bound error three crates up.
