@@ -55,9 +55,9 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -66,7 +66,7 @@ use rand::{Rng, SeedableRng};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::topic::{Publisher, Subscription};
+use crate::topic::{Publisher, Subscription, WeakPublisher};
 use crate::transport::{Frame, FrameKind, FrameTransport, TcpFrameTransport};
 
 pub use crate::transport::MAX_FRAME_BYTES;
@@ -175,6 +175,9 @@ impl ServerCounters {
 #[derive(Debug)]
 struct ClientHandle {
     queue: Mutex<VecDeque<Arc<Frame>>>,
+    /// Wakes the client's writer when a frame is queued or the server
+    /// shuts down.
+    ready: Condvar,
     gone: AtomicBool,
 }
 
@@ -238,7 +241,6 @@ impl RemoteTopicServer {
     {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerCounters::new(options.metrics.as_ref()));
         let shared = Arc::new(Mutex::new(ServerShared::new()));
@@ -248,29 +250,26 @@ impl RemoteTopicServer {
         let subscription = topic.subscribe();
 
         // Accept loop: hand each connection to its own handshake+writer
-        // thread.
+        // thread. `accept` blocks; `shutdown` wakes it with a connection
+        // of its own.
         {
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
             let shared = Arc::clone(&shared);
             let options = options.clone();
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let stop = Arc::clone(&stop);
-                            let counters = Arc::clone(&counters);
-                            let shared = Arc::clone(&shared);
-                            let options = options.clone();
-                            std::thread::spawn(move || {
-                                serve_client(stream, &stop, &counters, &shared, &options);
-                            });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
+                    let Ok(stream) = stream else { break };
+                    let stop = Arc::clone(&stop);
+                    let counters = Arc::clone(&counters);
+                    let shared = Arc::clone(&shared);
+                    let options = options.clone();
+                    std::thread::spawn(move || {
+                        serve_client(stream, &stop, &counters, &shared, &options);
+                    });
                 }
             });
         }
@@ -307,6 +306,8 @@ impl RemoteTopicServer {
                         counters.frames_dropped.inc();
                     }
                     queue.push_back(Arc::clone(&frame));
+                    drop(queue);
+                    client.ready.notify_one();
                 }
                 drop(state);
                 counters.frames_published.inc();
@@ -342,7 +343,24 @@ impl RemoteTopicServer {
     /// Stops the accept, forward, and per-client threads (also done on
     /// drop).
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        if self.stop.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        for client in &self.shared.lock().clients {
+            // Taking the queue lock orders the wake-up after the writer's
+            // last check of the stop flag.
+            drop(client.queue.lock());
+            client.ready.notify_one();
+        }
+        // Wake the accept loop, which checks the flag after every accept.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
     }
 }
 
@@ -382,6 +400,7 @@ fn serve_client(
     // the live forwarding stream meet without a gap or overlap.
     let handle = Arc::new(ClientHandle {
         queue: Mutex::new(VecDeque::new()),
+        ready: Condvar::new(),
         gone: AtomicBool::new(false),
     });
     let start = {
@@ -413,7 +432,8 @@ fn serve_client(
     }
     counters.clients_connected.inc();
 
-    // Writer loop: drain the queue; heartbeat when idle; evict on any
+    // Writer loop: block until a frame is queued or the heartbeat
+    // deadline passes; send the frame, else a heartbeat; evict on any
     // write failure. A failed *data* write and a failed *heartbeat*
     // write are counted apart: the latter means the liveness probe
     // itself proved the peer dead (`evicted_peers`), which is what a
@@ -427,12 +447,33 @@ fn serve_client(
     let mut last_write = Instant::now();
     let mut last_seq_sent = start.saturating_sub(1);
     let evicted = loop {
+        let mut queue = handle.queue.lock();
+        while queue.is_empty() && !stop.load(Ordering::Relaxed) {
+            let idle_left = options
+                .heartbeat_interval
+                .saturating_sub(last_write.elapsed());
+            if idle_left.is_zero() {
+                break;
+            }
+            queue = handle
+                .ready
+                .wait_timeout(queue, idle_left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
         if stop.load(Ordering::Relaxed) {
             break Eviction::None;
         }
-        let next = handle.queue.lock().pop_front();
+        let next = queue.pop_front();
+        drop(queue);
         match next {
             Some(frame) => {
+                // Give way before the write. On a busy CPU the thread whose
+                // work queued this frame (typically a call that has yet to
+                // send its RPC reply) finishes first, and the delivery
+                // follows that call instead of lengthening it. On an idle
+                // CPU this returns at once.
+                std::thread::yield_now();
                 if transport.send(&frame).is_err() {
                     break Eviction::SendFailure;
                 }
@@ -440,18 +481,14 @@ fn serve_client(
                 last_write = Instant::now();
             }
             None => {
-                if last_write.elapsed() >= options.heartbeat_interval {
-                    if transport
-                        .send(&Frame::control(FrameKind::Heartbeat, last_seq_sent))
-                        .is_err()
-                    {
-                        break Eviction::DeadPeer;
-                    }
-                    counters.heartbeats_sent.inc();
-                    last_write = Instant::now();
-                } else {
-                    std::thread::sleep(Duration::from_millis(1));
+                if transport
+                    .send(&Frame::control(FrameKind::Heartbeat, last_seq_sent))
+                    .is_err()
+                {
+                    break Eviction::DeadPeer;
                 }
+                counters.heartbeats_sent.inc();
+                last_write = Instant::now();
             }
         }
     };
@@ -706,7 +743,35 @@ where
     T: Clone + DeserializeOwned + Send + 'static,
     D: FnMut() -> std::io::Result<Box<dyn FrameTransport>> + Send + 'static,
 {
-    subscribe_inner::<T, T, D>(dial, options, |message| message, None)
+    subscribe_owned::<T, T, D>(dial, options, |message| message, None)
+}
+
+/// [`remote_subscribe`] that publishes the remote stream straight into
+/// an existing local topic — fan-in of several servers onto one topic
+/// with no forwarding thread per server. The subscriber's reader thread
+/// delivers each message with [`Publisher::publish`]; a topic with no
+/// subscribers at that moment is not an error. The thread holds no
+/// handle that keeps `topic` alive: it closes the connection and ends
+/// at the first frame or heartbeat after every [`Publisher`] of `topic`
+/// is dropped. Reconnect, resume and loss accounting are those of
+/// [`remote_subscribe`], with default [`SubscribeOptions`].
+///
+/// # Errors
+///
+/// Returns the connection or handshake error when the server is
+/// unreachable.
+pub fn remote_subscribe_into<T>(addr: SocketAddr, topic: &Publisher<T>) -> std::io::Result<()>
+where
+    T: Clone + DeserializeOwned + Send + 'static,
+{
+    subscribe_inner::<T, T, _>(
+        move || TcpFrameTransport::connect(addr).map(|t| Box::new(t) as Box<dyn FrameTransport>),
+        SubscribeOptions::default(),
+        Sink::Shared(topic.downgrade()),
+        |message| message,
+        None,
+    )
+    .map(drop)
 }
 
 /// [`remote_subscribe`] variant whose stream makes replay-buffer gaps
@@ -763,7 +828,7 @@ where
     T: Clone + DeserializeOwned + Send + 'static,
     D: FnMut() -> std::io::Result<Box<dyn FrameTransport>> + Send + 'static,
 {
-    subscribe_inner::<T, RemoteEvent<T>, D>(
+    subscribe_owned::<T, RemoteEvent<T>, D>(
         dial,
         options,
         RemoteEvent::Data,
@@ -774,16 +839,69 @@ where
     )
 }
 
-/// The shared subscriber worker behind the plain and event streams:
-/// `wrap` lifts a decoded message into the delivered type, and
-/// `on_lost` (when present) turns an irrecoverable replay gap into an
-/// in-stream delivery.
-fn subscribe_inner<T, E, D>(
-    mut dial: D,
+/// Where a subscriber's reader thread delivers, and for how long.
+enum Sink<E> {
+    /// A private topic behind one [`RemoteSubscription`]: delivery stops
+    /// once that subscription is dropped.
+    Owned(Publisher<E>),
+    /// A caller's topic: delivery stops once every handle to it is
+    /// dropped.
+    Shared(WeakPublisher<E>),
+}
+
+impl<E: Clone> Sink<E> {
+    /// Publishes `message`; `false` once no one can receive it any more.
+    fn deliver(&self, message: E) -> bool {
+        match self {
+            Sink::Owned(publisher) => publisher.publish(message) > 0,
+            Sink::Shared(topic) => topic.upgrade().map(|p| p.publish(message)).is_some(),
+        }
+    }
+
+    /// `true` while someone can still receive, checked without
+    /// publishing — how an idle stream notices it is no longer wanted.
+    fn is_live(&self) -> bool {
+        match self {
+            Sink::Owned(publisher) => publisher.live_subscriber_count() > 0,
+            Sink::Shared(topic) => topic.upgrade().is_some(),
+        }
+    }
+}
+
+/// [`subscribe_inner`] into a fresh private topic, returned as the
+/// caller's subscription.
+fn subscribe_owned<T, E, D>(
+    dial: D,
     options: SubscribeOptions,
     wrap: fn(T) -> E,
     on_lost: Option<fn(u64, u64) -> E>,
 ) -> std::io::Result<RemoteSubscription<E>>
+where
+    T: Clone + DeserializeOwned + Send + 'static,
+    E: Clone + Send + 'static,
+    D: FnMut() -> std::io::Result<Box<dyn FrameTransport>> + Send + 'static,
+{
+    let publisher = Publisher::new();
+    let subscription = publisher.subscribe();
+    let counters = subscribe_inner(dial, options, Sink::Owned(publisher), wrap, on_lost)?;
+    Ok(RemoteSubscription {
+        subscription,
+        counters,
+    })
+}
+
+/// The shared subscriber worker behind every remote stream: connects,
+/// then spawns the reader thread that delivers into `sink`. `wrap`
+/// lifts a decoded message into the delivered type, and `on_lost`
+/// (when present) turns an irrecoverable replay gap into an in-stream
+/// delivery.
+fn subscribe_inner<T, E, D>(
+    mut dial: D,
+    options: SubscribeOptions,
+    sink: Sink<E>,
+    wrap: fn(T) -> E,
+    on_lost: Option<fn(u64, u64) -> E>,
+) -> std::io::Result<Arc<ClientCounters>>
 where
     T: Clone + DeserializeOwned + Send + 'static,
     E: Clone + Send + 'static,
@@ -805,8 +923,6 @@ where
     };
     backoff.reset();
 
-    let publisher: Publisher<E> = Publisher::new();
-    let subscription = publisher.subscribe();
     let thread_counters = Arc::clone(&counters);
     std::thread::spawn(move || {
         let counters = thread_counters;
@@ -837,8 +953,8 @@ where
                                     counters.corrupt_frames.inc();
                                     break;
                                 };
-                                if publisher.publish(wrap(message)) == 0 {
-                                    return; // local subscriber gone
+                                if !sink.deliver(wrap(message)) {
+                                    return; // no one left to deliver to
                                 }
                                 last_seq = frame.seq;
                             }
@@ -848,7 +964,7 @@ where
                                 // for free, on an idle topic: stop (and
                                 // close the connection) once the local
                                 // subscriber is gone.
-                                if publisher.live_subscriber_count() == 0 {
+                                if !sink.is_live() {
                                     return;
                                 }
                             }
@@ -867,7 +983,7 @@ where
 
             // Reconnect with capped exponential backoff + jitter,
             // resuming from the next undelivered sequence number.
-            if publisher.live_subscriber_count() == 0 {
+            if !sink.is_live() {
                 return;
             }
             counters.reconnects.inc();
@@ -886,8 +1002,8 @@ where
                             // infer a resync from a counter diff.
                             counters.frames_lost.add(resumed_at - (last_seq + 1));
                             if let Some(lost) = on_lost {
-                                if publisher.publish(lost(last_seq + 1, resumed_at)) == 0 {
-                                    return; // local subscriber gone
+                                if !sink.deliver(lost(last_seq + 1, resumed_at)) {
+                                    return; // no one left to deliver to
                                 }
                             }
                             last_seq = resumed_at - 1;
@@ -907,10 +1023,7 @@ where
         }
     });
 
-    Ok(RemoteSubscription {
-        subscription,
-        counters,
-    })
+    Ok(counters)
 }
 
 /// Dials and handshakes once: sends `Hello(resume_from)`, waits for
@@ -1207,10 +1320,107 @@ mod tests {
         assert_eq!(inbox.recv_timeout(Duration::from_millis(50)), None);
     }
 
+    fn server_with_heartbeat(topic: &Publisher<u32>, every: Duration) -> RemoteTopicServer {
+        RemoteTopicServer::bind_with(
+            "127.0.0.1:0",
+            topic.clone(),
+            ServerOptions {
+                heartbeat_interval: every,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn shutdown_wakes_idle_writers() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("shutdown-wakes");
+        // Idle writers wait out a 10 s heartbeat deadline unless woken.
+        let server = server_with_heartbeat(&topic, Duration::from_secs(10));
+        let _a = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        let _b = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        assert_eq!(server.active_clients(), 2);
+        let started = Instant::now();
+        server.shutdown();
+        while server.active_clients() > 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "writers still registered 1 s after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn shutdown_releases_the_listening_port() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("port-released");
+        let server = RemoteTopicServer::bind("127.0.0.1:0", topic).unwrap();
+        let addr = server.local_addr();
+        server.shutdown();
+        // The blocked accept is woken and drops the listener, so the
+        // port can be bound again without anyone connecting first.
+        wait_for(|| TcpListener::bind(addr).is_ok(), "listener to close");
+    }
+
+    #[test]
+    fn idle_writer_heartbeats_on_its_deadline() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("heartbeat-deadline");
+        let server = server_with_heartbeat(&topic, Duration::from_millis(100));
+        let _inbox = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(550));
+        // About five: neither a spin (many more) nor an oversleep (fewer).
+        let sent = server.stats().heartbeats_sent;
+        assert!((3..=7).contains(&sent), "{sent} heartbeats in 550 ms");
+    }
+
+    #[test]
+    fn idle_writer_wakes_for_a_frame() {
+        let broker = Broker::new();
+        let topic = broker.topic::<u32>("frame-wakes");
+        let server = server_with_heartbeat(&topic, Duration::from_secs(10));
+        let inbox = remote_subscribe::<u32>(server.local_addr()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        topic.publish(4);
+        assert_eq!(inbox.recv_timeout(Duration::from_secs(1)), Some(4));
+        // The frame woke the writer; its heartbeat deadline did not.
+        assert_eq!(server.stats().heartbeats_sent, 0);
+    }
+
+    #[test]
+    fn subscribe_into_fans_in_and_ends_with_the_topic() {
+        let broker = Broker::new();
+        let (a_topic, b_topic) = (broker.topic::<u32>("fan-a"), broker.topic::<u32>("fan-b"));
+        let a = server_with_heartbeat(&a_topic, Duration::from_millis(20));
+        let b = server_with_heartbeat(&b_topic, Duration::from_millis(20));
+        let merged = Publisher::new();
+        remote_subscribe_into(a.local_addr(), &merged).unwrap();
+        remote_subscribe_into(b.local_addr(), &merged).unwrap();
+        let inbox = merged.subscribe();
+        a_topic.publish(1);
+        assert_eq!(inbox.recv_timeout(Duration::from_secs(2)), Some(1));
+        b_topic.publish(2);
+        assert_eq!(inbox.recv_timeout(Duration::from_secs(2)), Some(2));
+        // A topic without subscribers is still alive: the readers stay.
+        drop(inbox);
+        a_topic.publish(3);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!((a.active_clients(), b.active_clients()), (1, 1));
+        // Dropping its last handle ends both readers, which closes their
+        // connections; heartbeat writes then evict them server-side.
+        drop(merged);
+        wait_for(
+            || a.active_clients() == 0 && b.active_clients() == 0,
+            "readers to end with the topic",
+        );
+    }
+
     #[test]
     fn slow_client_queue_is_bounded_and_drops_are_counted() {
         let broker = Broker::new();
-        let topic = broker.topic::<u64>("slow");
+        let topic = broker.topic::<String>("slow");
         let server = RemoteTopicServer::bind_with(
             "127.0.0.1:0",
             topic.clone(),
@@ -1230,26 +1440,42 @@ mod tests {
             .unwrap();
         assert_eq!(stalled.recv().unwrap().unwrap().kind, FrameKind::HelloAck);
         wait_for(|| server.active_clients() == 1, "registration");
-        for i in 0..200u64 {
-            topic.publish(i);
+        // The writer sends as soon as a frame is queued, so small frames
+        // just land in the socket buffers. Fill those with 64 KiB frames
+        // until the writer is stuck in a send and the queue overflows.
+        let pad = "x".repeat(64 * 1024);
+        let mut padded = 0u64;
+        while server.stats().frames_dropped < 8 {
+            assert!(padded < 2000, "socket buffers never filled");
+            topic.publish(pad.clone());
+            padded += 1;
+            wait_for(|| server.stats().frames_published == padded, "forwarding");
         }
-        wait_for(|| server.stats().frames_published == 200, "forwarding");
+        let before = server.stats().frames_dropped;
+        for i in 0..200u64 {
+            topic.publish(i.to_string());
+        }
+        wait_for(
+            || server.stats().frames_published == padded + 200,
+            "forwarding",
+        );
         let stats = server.stats();
         assert!(
-            stats.frames_dropped >= 180,
+            stats.frames_dropped - before >= 180,
             "expected bounded queue to shed load: {stats:?}"
         );
         // The server is still fully functional for a healthy client.
-        let healthy = remote_subscribe::<u64>(server.local_addr()).unwrap();
-        topic.publish(999);
+        let healthy = remote_subscribe::<String>(server.local_addr()).unwrap();
+        topic.publish("999".to_string());
         let mut last = None;
         while let Some(v) = healthy.recv_timeout(Duration::from_secs(2)) {
+            let done = v == "999";
             last = Some(v);
-            if v == 999 {
+            if done {
                 break;
             }
         }
-        assert_eq!(last, Some(999));
+        assert_eq!(last.as_deref(), Some("999"));
     }
 
     #[test]

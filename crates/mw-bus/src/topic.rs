@@ -1,6 +1,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -23,6 +23,9 @@ pub enum OverflowPolicy {
 #[derive(Debug)]
 struct BoundedQueue<T> {
     queue: Mutex<VecDeque<T>>,
+    /// Signalled on every enqueue and when the last publisher handle
+    /// goes; blocking receives wait on it.
+    ready: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
     /// Messages lost to the overflow policy.
@@ -41,13 +44,33 @@ enum SubscriberTx<T> {
     Bounded(Arc<BoundedQueue<T>>),
 }
 
+/// The subscriber list every handle of one topic shares.
+#[derive(Debug)]
+struct Subscribers<T>(Mutex<Vec<SubscriberTx<T>>>);
+
+impl<T> Drop for Subscribers<T> {
+    /// The last publisher handle is gone: wake receivers blocked on a
+    /// bounded queue so they see the end of the stream. (Channel
+    /// receivers wake on their own when the senders drop.)
+    fn drop(&mut self) {
+        for tx in self.0.get_mut() {
+            if let SubscriberTx::Bounded(q) = tx {
+                // Taking the queue lock orders this wake-up after a
+                // receiver's liveness check, so none can miss it.
+                drop(q.queue.lock());
+                q.ready.notify_all();
+            }
+        }
+    }
+}
+
 /// The publisher end of a pub/sub topic.
 ///
 /// Cloning produces another handle to the same topic. Messages are cloned
 /// per subscriber; subscribers that were dropped are pruned lazily.
 #[derive(Debug, Clone)]
 pub struct Publisher<T> {
-    subscribers: Arc<Mutex<Vec<SubscriberTx<T>>>>,
+    subscribers: Arc<Subscribers<T>>,
 }
 
 impl<T: Clone> Publisher<T> {
@@ -55,7 +78,7 @@ impl<T: Clone> Publisher<T> {
     #[must_use]
     pub fn new() -> Self {
         Publisher {
-            subscribers: Arc::new(Mutex::new(Vec::new())),
+            subscribers: Arc::new(Subscribers(Mutex::new(Vec::new()))),
         }
     }
 
@@ -68,6 +91,7 @@ impl<T: Clone> Publisher<T> {
         let (tx, rx) = unbounded();
         let closed = Arc::new(AtomicBool::new(false));
         self.subscribers
+            .0
             .lock()
             .push(SubscriberTx::Channel(tx, Arc::clone(&closed)));
         Subscription {
@@ -88,12 +112,14 @@ impl<T: Clone> Publisher<T> {
         assert!(capacity > 0, "bounded subscription needs capacity >= 1");
         let queue = Arc::new(BoundedQueue {
             queue: Mutex::new(VecDeque::with_capacity(capacity)),
+            ready: Condvar::new(),
             capacity,
             policy,
             lagged: AtomicU64::new(0),
             closed: AtomicBool::new(false),
         });
         self.subscribers
+            .0
             .lock()
             .push(SubscriberTx::Bounded(Arc::clone(&queue)));
         Subscription {
@@ -109,7 +135,7 @@ impl<T: Clone> Publisher<T> {
     /// whose overflow policy discarded this message is not counted, but
     /// stays subscribed).
     pub fn publish(&self, message: T) -> usize {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.0.lock();
         let mut delivered = 0;
         subs.retain(|tx| match tx {
             SubscriberTx::Channel(tx, closed) => {
@@ -135,6 +161,8 @@ impl<T: Clone> Publisher<T> {
                     }
                 }
                 queue.push_back(message.clone());
+                drop(queue);
+                q.ready.notify_one();
                 delivered += 1;
                 true
             }
@@ -145,7 +173,7 @@ impl<T: Clone> Publisher<T> {
     /// Number of live subscribers (after pruning on the last publish).
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
+        self.subscribers.0.lock().len()
     }
 
     /// Number of subscribers that have not been dropped, pruning the
@@ -154,12 +182,32 @@ impl<T: Clone> Publisher<T> {
     /// notice on an *idle* topic that nobody is listening any more.
     #[must_use]
     pub fn live_subscriber_count(&self) -> usize {
-        let mut subs = self.subscribers.lock();
+        let mut subs = self.subscribers.0.lock();
         subs.retain(|tx| match tx {
             SubscriberTx::Channel(_, closed) => !closed.load(Ordering::Acquire),
             SubscriberTx::Bounded(q) => !q.closed.load(Ordering::Acquire),
         });
         subs.len()
+    }
+}
+
+impl<T> Publisher<T> {
+    /// A handle that does not keep the topic alive.
+    pub(crate) fn downgrade(&self) -> WeakPublisher<T> {
+        WeakPublisher(Arc::downgrade(&self.subscribers))
+    }
+}
+
+/// A non-owning [`Publisher`] handle: once every `Publisher` of the
+/// topic is dropped, it no longer upgrades.
+#[derive(Debug)]
+pub(crate) struct WeakPublisher<T>(Weak<Subscribers<T>>);
+
+impl<T> WeakPublisher<T> {
+    pub(crate) fn upgrade(&self) -> Option<Publisher<T>> {
+        self.0
+            .upgrade()
+            .map(|subscribers| Publisher { subscribers })
     }
 }
 
@@ -177,7 +225,7 @@ enum SubscriptionRx<T> {
         queue: Arc<BoundedQueue<T>>,
         /// Dead once every publisher handle is gone, ending blocking
         /// receives.
-        publisher_alive: Weak<Mutex<Vec<SubscriberTx<T>>>>,
+        publisher_alive: Weak<Subscribers<T>>,
     },
 }
 
@@ -187,8 +235,40 @@ pub struct Subscription<T> {
     rx: SubscriptionRx<T>,
 }
 
-/// Poll interval for bounded-queue blocking receives.
-const BOUNDED_POLL: Duration = Duration::from_micros(500);
+impl<T> BoundedQueue<T> {
+    /// Pops the next message, waiting on `ready` until one is queued,
+    /// every publisher handle is gone, or `deadline` passes.
+    fn pop_until(&self, alive: &Weak<Subscribers<T>>, deadline: Option<Instant>) -> Option<T> {
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(v) = queue.pop_front() {
+                return Some(v);
+            }
+            // `strong_count`, not `upgrade`: a receiver holding the last
+            // strong handle would run the wake-up in `Subscribers::drop`
+            // under its own queue lock.
+            if alive.strong_count() == 0 {
+                return None;
+            }
+            queue = match deadline {
+                None => self
+                    .ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.ready
+                        .wait_timeout(queue, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+}
 
 impl<T> Subscription<T> {
     /// Blocks until the next message (or the publisher is dropped).
@@ -198,16 +278,7 @@ impl<T> Subscription<T> {
             SubscriptionRx::Bounded {
                 queue,
                 publisher_alive,
-            } => loop {
-                if let Some(v) = queue.queue.lock().pop_front() {
-                    return Some(v);
-                }
-                if publisher_alive.upgrade().is_none() {
-                    // Publisher gone; drain whatever raced in.
-                    return queue.queue.lock().pop_front();
-                }
-                std::thread::sleep(BOUNDED_POLL);
-            },
+            } => queue.pop_until(publisher_alive, None),
         }
     }
 
@@ -226,21 +297,7 @@ impl<T> Subscription<T> {
             SubscriptionRx::Bounded {
                 queue,
                 publisher_alive,
-            } => {
-                let deadline = Instant::now() + timeout;
-                loop {
-                    if let Some(v) = queue.queue.lock().pop_front() {
-                        return Some(v);
-                    }
-                    if publisher_alive.upgrade().is_none() {
-                        return queue.queue.lock().pop_front();
-                    }
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    std::thread::sleep(BOUNDED_POLL);
-                }
-            }
+            } => queue.pop_until(publisher_alive, Some(Instant::now() + timeout)),
         }
     }
 
@@ -461,6 +518,51 @@ mod tests {
         assert_eq!(topic.live_subscriber_count(), 1, "no publish needed");
         drop(b);
         assert_eq!(topic.live_subscriber_count(), 0);
+    }
+
+    #[test]
+    fn bounded_recv_wakes_when_the_last_publisher_drops() {
+        let topic: Publisher<u32> = Publisher::new();
+        let s = topic.subscribe_bounded(4, OverflowPolicy::DropOldest);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            let got = s.recv();
+            done_tx.send(Instant::now()).unwrap();
+            got
+        });
+        let clone = topic.clone();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(topic);
+        std::thread::sleep(Duration::from_millis(20));
+        // One handle is still alive: the receiver keeps waiting.
+        assert!(done_rx.try_recv().is_err());
+        let dropped_at = Instant::now();
+        drop(clone);
+        let woke_at = done_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("blocked recv() ends within 1 s of the last publisher drop");
+        assert!(woke_at.duration_since(dropped_at) < Duration::from_secs(1));
+        assert_eq!(receiver.join().unwrap(), None);
+    }
+
+    #[test]
+    fn bounded_recv_timeout_returns_a_message_published_mid_wait() {
+        let topic: Publisher<u32> = Publisher::new();
+        let s = topic.subscribe_bounded(4, OverflowPolicy::DropNewest);
+        let publisher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            topic.publish(9);
+            topic
+        });
+        let started = Instant::now();
+        assert_eq!(s.recv_timeout(Duration::from_secs(2)), Some(9));
+        // Woken by the publish, not by the 2 s deadline.
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            started.elapsed()
+        );
+        drop(publisher.join().unwrap());
     }
 
     #[test]

@@ -555,8 +555,12 @@ fn successor_of<'a>(members: &'a [MemberInfo], node: &NodeId) -> Option<&'a Memb
 /// Follower loop: keep a delta subscription on the current predecessor,
 /// re-subscribing when the predecessor (or its address, after a restart)
 /// changes; apply `Data` deltas as last-known-good seeds and answer
-/// `Lost` gaps with a full-state resync over RPC.
+/// `Lost` gaps with a full-state resync over RPC. Between directory
+/// refreshes the loop blocks on the subscription, so a delta is applied
+/// as soon as it arrives.
 fn follow_predecessor(inner: &Arc<NodeInner>, config: &NodeConfig, stop: &AtomicBool) {
+    // How often the predecessor is re-resolved; a cheap RPC.
+    const REFRESH: Duration = Duration::from_millis(250);
     let directory = DirectoryClient::new(config.directory, config.rpc_timeout);
     let mut following: Option<(NodeId, String)> = None;
     let mut sub: Option<RemoteSubscription<RemoteEvent<Delta>>> = None;
@@ -564,8 +568,7 @@ fn follow_predecessor(inner: &Arc<NodeInner>, config: &NodeConfig, stop: &Atomic
     let mut last_refresh = std::time::Instant::now() - Duration::from_secs(1);
 
     while !stop.load(Ordering::Relaxed) {
-        // Refresh the predecessor a few times a second; cheap RPC.
-        if last_refresh.elapsed() >= Duration::from_millis(250) {
+        if last_refresh.elapsed() >= REFRESH {
             last_refresh = std::time::Instant::now();
             if let Ok(view) = directory.list() {
                 let pred = predecessor_of(&view.members, &config.node)
@@ -592,10 +595,17 @@ fn follow_predecessor(inner: &Arc<NodeInner>, config: &NodeConfig, stop: &Atomic
             std::thread::sleep(Duration::from_millis(20));
             continue;
         };
-        let mut drained = false;
-        while let Some(event) = active.try_recv() {
-            drained = true;
-            let Some((peer, _)) = &following else { break };
+        let Some(event) = active.recv_timeout(REFRESH.saturating_sub(last_refresh.elapsed()))
+        else {
+            if last_refresh.elapsed() < REFRESH {
+                // `None` before the deadline: the stream has ended (its
+                // redial budget ran out). Wait, as with no subscription,
+                // for the directory to show a new predecessor address.
+                sub = None;
+            }
+            continue;
+        };
+        if let Some((peer, _)) = &following {
             match event {
                 RemoteEvent::Data(delta) => inner.apply_delta(peer, delta),
                 RemoteEvent::Lost { .. } => {
@@ -616,9 +626,6 @@ fn follow_predecessor(inner: &Arc<NodeInner>, config: &NodeConfig, stop: &Atomic
                     }
                 }
             }
-        }
-        if !drained {
-            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }

@@ -17,11 +17,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mw_bus::remote::remote_subscribe;
+use mw_bus::remote::remote_subscribe_into;
 use mw_bus::{Publisher, RemoteRpcClient, Subscription};
 use mw_core::{AnswerQuality, LocationQuery, Notification, QueryAnswer, Rule};
 use mw_model::SimTime;
@@ -137,8 +136,8 @@ struct RouterState {
     suspect: HashSet<NodeId>,
     /// Registered rules, by the node that should own them.
     rules: Vec<(NodeId, Rule)>,
-    /// node → notify addr currently pumped into the merged stream.
-    pumps: HashMap<NodeId, String>,
+    /// node → notify addr currently subscribed into the merged stream.
+    feeds: HashMap<NodeId, String>,
 }
 
 /// What one routed ingest round did.
@@ -158,8 +157,10 @@ pub struct ClusterRouter {
     directory: DirectoryClient,
     counters: RouterCounters,
     state: Mutex<RouterState>,
+    /// Each node's notify stream is published straight into this topic
+    /// by its remote subscription's reader thread, which ends once the
+    /// router (the only handle) is dropped.
     merged_notifications: Publisher<Notification>,
-    stop: Arc<AtomicBool>,
 }
 
 impl ClusterRouter {
@@ -180,11 +181,10 @@ impl ClusterRouter {
                 clients: HashMap::new(),
                 suspect: HashSet::new(),
                 rules: Vec::new(),
-                pumps: HashMap::new(),
+                feeds: HashMap::new(),
             }),
             merged_notifications: Publisher::new(),
             config,
-            stop: Arc::new(AtomicBool::new(false)),
         };
         router.refresh()?;
         Ok(router)
@@ -195,7 +195,8 @@ impl ClusterRouter {
     /// owners fail over, they don't rehash), refreshes per-node clients
     /// whose addresses changed, clears suspicion for nodes that are
     /// both listed alive and answer a ping (re-registering their rules),
-    /// and attaches notification pumps for new notify addresses.
+    /// and subscribes the merged notification stream to new notify
+    /// addresses.
     ///
     /// # Errors
     ///
@@ -266,47 +267,28 @@ impl ClusterRouter {
             }
         }
 
-        // Notification pumps follow notify-address changes (restarts
-        // come back on fresh ephemeral ports).
+        // Notification feeds follow notify-address changes (restarts
+        // come back on fresh ephemeral ports). An address is tried once:
+        // a node that refuses it is not retried until it re-announces.
         for member in &view.members {
             if !member.alive {
                 continue;
             }
-            let attached = state.pumps.get(&member.node) == Some(&member.notify_addr);
+            let attached = state.feeds.get(&member.node) == Some(&member.notify_addr);
             if !attached {
                 if let Ok(addr) = member.notify_addr.parse::<SocketAddr>() {
                     state
-                        .pumps
+                        .feeds
                         .insert(member.node.clone(), member.notify_addr.clone());
-                    self.spawn_pump(addr);
+                    // The remote subscription reconnects internally until
+                    // its redial budget runs out.
+                    let _ = remote_subscribe_into(addr, &self.merged_notifications);
                 }
             }
         }
 
         state.view = view;
         Ok(())
-    }
-
-    fn spawn_pump(&self, addr: SocketAddr) {
-        let merged = self.merged_notifications.clone();
-        let stop = Arc::clone(&self.stop);
-        std::thread::spawn(move || {
-            let Ok(sub) = remote_subscribe::<Notification>(addr) else {
-                return;
-            };
-            while !stop.load(Ordering::Relaxed) {
-                match sub.recv_timeout(Duration::from_millis(100)) {
-                    Some(n) => {
-                        merged.publish(n);
-                    }
-                    None => {
-                        // Timeout or stream end; recv again (the remote
-                        // subscription reconnects internally until its
-                        // redial budget runs out).
-                    }
-                }
-            }
-        });
     }
 
     fn mark_suspect(&self, state: &mut RouterState, node: &NodeId) {
@@ -600,11 +582,5 @@ impl ClusterRouter {
             forwarded_ingests: self.counters.forwarded_ingests.get(),
             rules_reregistered: self.counters.rules_reregistered.get(),
         }
-    }
-}
-
-impl Drop for ClusterRouter {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
     }
 }
